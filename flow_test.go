@@ -1,10 +1,12 @@
 package vlsicad
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
 	"vlsicad/internal/bench"
+	"vlsicad/internal/route"
 )
 
 const adderBLIF = `
@@ -106,5 +108,39 @@ func TestRunFlowDelayObjective(t *testing.T) {
 	}
 	if f.CriticalDelay <= 0 {
 		t.Error("no timing under delay mapping")
+	}
+}
+
+// TestRunFlowRoutedPathsDisjoint checks that no grid cell lies on two
+// nets' routed paths. Rip-up and revert free a path's wires but must
+// keep its pins reserved, or another net may wire across a pin that
+// its owner later routes onto.
+func TestRunFlowRoutedPathsDisjoint(t *testing.T) {
+	nw := bench.Network(bench.NetworkSpec{Name: "disjoint", Inputs: 10, Nodes: 40, Outputs: 5}, 1)
+	f, err := RunFlowOnNetwork(nw, FlowOpts{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(f.Routing.Paths))
+	for name := range f.Routing.Paths {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	owner := map[route.Point]string{}
+	shared := 0
+	for _, name := range names {
+		for _, pt := range f.Routing.Paths[name] {
+			if o, taken := owner[pt]; taken {
+				if shared == 0 {
+					t.Errorf("cell %v is on the paths of nets %s and %s", pt, o, name)
+				}
+				shared++
+				continue
+			}
+			owner[pt] = name
+		}
+	}
+	if shared > 0 {
+		t.Errorf("%d grid cells are on two nets' paths (of %d routed nets)", shared, len(names))
 	}
 }
