@@ -390,11 +390,12 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 			wsp.SetLabel("committed", strconv.Itoa(ws.Committed))
 			wsp.SetLabel("conflicts", strconv.Itoa(ws.Conflicts))
 			wsp.SetLabel("requeued", strconv.Itoa(ws.Requeued))
-			wsp.End()
 			committed.Add(int64(ws.Committed))
 			conflicts.Add(int64(ws.Conflicts))
 			requeued.Add(int64(ws.Requeued))
-			ob.Histogram("flow_route_wave_seconds").ObserveDuration(ws.Duration)
+			// The span's observer-clock duration keeps the histogram
+			// deterministic under an injected fake clock.
+			ob.Histogram("flow_route_wave_seconds").ObserveDuration(wsp.End())
 		},
 	})
 	f.WireLength = f.Routing.Length

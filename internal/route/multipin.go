@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Multi-pin net routing: real netlists have nets with more than two
@@ -351,7 +350,6 @@ func routeMultiWaves(g *Grid, nets []MultiNet, alg Algorithm, opts MultiOpts,
 	}
 	var failed []string
 	for waveIdx := 0; len(pending) > 0; waveIdx++ {
-		start := time.Now()
 		n := waveSize
 		if n > len(pending) {
 			n = len(pending)
@@ -451,7 +449,7 @@ func routeMultiWaves(g *Grid, nets []MultiNet, alg Algorithm, opts MultiOpts,
 			opts.OnWave(WaveStats{
 				Index: waveIdx, Nets: n, Committed: committed,
 				Failed: failedHere, Conflicts: conflicts,
-				Requeued: n - commitEnd, Duration: time.Since(start),
+				Requeued: n - commitEnd,
 			})
 		}
 	}
