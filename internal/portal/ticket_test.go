@@ -294,8 +294,13 @@ func TestTicketDeadlineExpiresRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTicketState(t, tk, portal.TicketRunning)
+	// The deadline watcher registers its timer from its own goroutine;
+	// a fire before that registration would be lost.
+	waitHubTimer(t, hub, deadline, 1)
 	hub.fire(deadline) // the watchdog catches a mid-run expiry
-	res, werr := tk.Wait(nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, werr := tk.Wait(ctx)
 	if !errors.Is(werr, portal.ErrDeadline) {
 		t.Fatalf("Wait err = %v, want ErrDeadline", werr)
 	}
@@ -341,8 +346,11 @@ func TestTicketDeadlineShorterThanRetryBackoff(t *testing.T) {
 	// sleep (1h — far past the 75ms deadline). Expiry must cut the
 	// backoff short instead of letting the ticket sleep through it.
 	waitHubTimer(t, hub, backoff, 1)
+	waitHubTimer(t, hub, deadline, 1)
 	hub.fire(deadline)
-	res, werr := tk.Wait(nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, werr := tk.Wait(ctx)
 	if !errors.Is(werr, portal.ErrDeadline) {
 		t.Fatalf("Wait err = %v, want ErrDeadline", werr)
 	}
