@@ -38,8 +38,9 @@ bench-record:
 # exact). The gate MUST use the same BENCH_TIME the baseline was
 # recorded with: allocs/op includes sync.Pool warm-up amortized over
 # the iteration count, so measuring at a different benchtime (say 1x)
-# reports setup allocations as steady state and false-positives.
-BENCH_BASELINE ?= $(BENCH_FILE)
+# reports setup allocations as steady state and false-positives. The
+# baseline defaults to the highest-numbered committed BENCH_PR*.json.
+BENCH_BASELINE ?= $(shell ls BENCH_PR*.json | sort -V | tail -1)
 bench-gate:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -timeout 30m $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchrecord -compare $(BENCH_BASELINE)
