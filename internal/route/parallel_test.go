@@ -112,6 +112,38 @@ func TestParallelConflictHeavy(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerialWhenWaveMateWallsInTarget covers the
+// dead-pin exit's footprint. Net w's wire takes the last free
+// neighbour of net v's target pin, and v's source is fenced off, so
+// v's speculative search floods its fenced region and fails without
+// coming near its target. Serially, v's target is already walled in
+// and v is refused with no expansions; the wave engine must see that
+// the neighbour it read as free was taken and re-route v.
+func TestParallelMatchesSerialWhenWaveMateWallsInTarget(t *testing.T) {
+	g := NewGrid(20, 20, DefaultCost())
+	for y := 0; y < 20; y++ { // fence x=5 on both layers
+		g.Block(Point{5, y, 0})
+		g.Block(Point{5, y, 1})
+	}
+	target := Point{15, 10, 0}
+	for _, q := range []Point{{14, 10, 0}, {15, 9, 0}, {15, 11, 0}, {15, 10, 1}} {
+		g.Block(q) // only {16, 10, 0} stays free
+	}
+	nets := []Net{
+		{Name: "w", A: Point{16, 8, 0}, B: Point{16, 12, 0}},
+		{Name: "v", A: Point{2, 2, 0}, B: target},
+	}
+	serial := RouteAll(g.Clone(), nets, Opts{Alg: AStar, Seed: 1})
+	if len(serial.Failed) != 1 || serial.Failed[0] != "v" {
+		t.Fatalf("serial failed = %v, want [v]", serial.Failed)
+	}
+	for _, alg := range []Algorithm{AStar, Dijkstra} {
+		serial := RouteAll(g.Clone(), nets, Opts{Alg: alg, Seed: 1})
+		par := RouteAll(g.Clone(), nets, Opts{Alg: alg, Seed: 1, Workers: 2})
+		requireEqualResults(t, serial, par, fmt.Sprintf("alg %d", alg))
+	}
+}
+
 // TestWaveStatsAccounting checks the per-wave telemetry adds up: every
 // net is committed or failed exactly once across all waves, and
 // requeues equal the sum of deferred batch tails.
