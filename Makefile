@@ -23,9 +23,10 @@ bench:
 
 # Record the performance trajectory: run the hot-path benchmarks at a
 # real benchtime and parse them into BENCH_FILE (see EXPERIMENTS.md
-# for the format). Compare against the committed BENCH_PR*.json files
-# to see drift across PRs.
-BENCH_FILE ?= BENCH_PR10.json
+# for the format), by default one past the newest committed
+# BENCH_PR*.json. Compare against the committed files to see drift
+# across PRs.
+BENCH_FILE ?= BENCH_PR$(shell ls BENCH_PR*.json | sed 's/[^0-9]//g' | sort -n | tail -1 | awk '{print $$1 + 1}').json
 BENCH_PKGS ?= ./internal/obs ./internal/portal ./internal/route ./internal/mooc ./internal/place ./internal/linsolve ./internal/techmap
 BENCH_TIME ?= 0.5s
 bench-record:

@@ -318,10 +318,19 @@ func portalStorm(w io.Writer, seed uint64, ob *obs.Observer, gate *readyGate) er
 	fmt.Fprintln(w, "  resilience counters:")
 	keys := []string{"pool_jobs_total", "pool_retries", "portal_panics_recovered",
 		"pool_jobs_timeout", "portal_jobs_abandoned", "portal_abandoned_returned",
-		"pool_jobs_shed_queue", "pool_jobs_shed_breaker",
-		"pool_breaker_open", "pool_breaker_half-open", "pool_breaker_closed"}
+		"pool_jobs_shed_queue", "pool_jobs_shed_breaker"}
 	for _, k := range keys {
-		fmt.Fprintf(w, "    %-28s %6d\n", k, m.Counters[k])
+		fmt.Fprintf(w, "    %-32s %6d\n", k, m.Counters[k])
+	}
+	// Breaker transitions summed over tools, from the labelled family.
+	for _, to := range []portal.BreakerState{portal.BreakerOpen, portal.BreakerHalfOpen, portal.BreakerClosed} {
+		var n int64
+		for _, name := range names {
+			v, _ := m.CounterSeries("pool_breaker_transitions_total",
+				map[string]string{"tool": name, "to": to.String()})
+			n += v
+		}
+		fmt.Fprintf(w, "    %-32s %6d\n", "breaker transitions to "+to.String(), n)
 	}
 	fmt.Fprintln(w, "  breaker state by tool:")
 	sort.Strings(names)

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vlsicad/internal/obs"
 	"vlsicad/internal/portal"
 )
 
@@ -113,7 +114,7 @@ type Injector struct {
 	release     chan struct{} // closed by ReleaseHung
 
 	mu    sync.Mutex
-	sleep func(time.Duration) <-chan time.Time
+	clock obs.Clock // times Slow faults
 }
 
 // Wrap builds a seeded probabilistic injector around t.
@@ -122,7 +123,7 @@ func Wrap(t portal.Tool, seed uint64, cfg Config) *Injector {
 		cfg.SlowDelay = time.Millisecond
 	}
 	return &Injector{tool: t, seed: seed, cfg: cfg,
-		release: make(chan struct{}), sleep: time.After}
+		release: make(chan struct{}), clock: obs.SystemClock{}}
 }
 
 // Script builds an injector that replays the given fault classes in
@@ -134,15 +135,16 @@ func Script(t portal.Tool, classes ...Class) *Injector {
 	return in
 }
 
-// SetSleep injects the timer used for Slow faults (tests avoid real
-// latency); nil restores time.After.
-func (in *Injector) SetSleep(sleep func(time.Duration) <-chan time.Time) {
+// SetClock injects the clock that times Slow faults — the same
+// obs.Clock a pool takes, so tests drive both on one virtual time; nil
+// restores the wall clock.
+func (in *Injector) SetClock(c obs.Clock) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if sleep == nil {
-		sleep = time.After
+	if c == nil {
+		c = obs.SystemClock{}
 	}
-	in.sleep = sleep
+	in.clock = c
 }
 
 // Name returns the wrapped tool's name: the injector impersonates it.
@@ -238,10 +240,10 @@ func (in *Injector) Run(input string, cancel <-chan struct{}) (string, error) {
 			fmt.Errorf("fault: injected transient failure (call %d, seed %d)", n, in.seed))
 	case Slow:
 		in.mu.Lock()
-		sleep := in.sleep
+		clock := in.clock
 		in.mu.Unlock()
 		select {
-		case <-sleep(in.cfg.SlowDelay):
+		case <-clock.After(in.cfg.SlowDelay):
 		case <-cancel:
 			return "", fmt.Errorf("fault: slow call %d cancelled", n)
 		}

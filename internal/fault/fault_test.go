@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vlsicad/internal/obs"
 	"vlsicad/internal/portal"
 )
 
@@ -124,19 +125,38 @@ func TestInjectedBehaviors(t *testing.T) {
 	})
 
 	t.Run("slow", func(t *testing.T) {
+		// The delay runs on virtual time: it ends when the test moves
+		// the clock past it, with no real latency.
+		clk := obs.NewFakeClock(time.Unix(0, 0).UTC(), 0)
 		in := Script(echo{}, Slow)
-		fired := make(chan time.Time, 1)
-		fired <- time.Time{}
-		in.SetSleep(func(time.Duration) <-chan time.Time { return fired })
-		out, err := in.Run("x", cancel)
-		if err != nil || out != "x" {
-			t.Fatalf("slow run = %q, %v", out, err)
+		in.SetClock(clk)
+		type result struct {
+			out string
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			out, err := in.Run("x", cancel)
+			done <- result{out, err}
+		}()
+		for wait := time.Now().Add(10 * time.Second); clk.Pending() == 0; {
+			if time.Now().After(wait) {
+				t.Fatal("slow call never armed its delay")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		clk.Advance(time.Millisecond)
+		select {
+		case r := <-done:
+			if r.err != nil || r.out != "x" {
+				t.Fatalf("slow run = %q, %v", r.out, r.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("slow call outlived its virtual delay")
 		}
 		// A cancelled slow call gives up cooperatively.
 		in2 := Script(echo{}, Slow)
-		in2.SetSleep(func(time.Duration) <-chan time.Time {
-			return make(chan time.Time) // never fires
-		})
+		in2.SetClock(obs.NewFakeClock(time.Unix(0, 0).UTC(), 0)) // never advanced
 		closed := make(chan struct{})
 		close(closed)
 		if _, err := in2.Run("x", closed); err == nil ||

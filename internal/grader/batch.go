@@ -98,9 +98,10 @@ func (b *Batch) Record(ob *obs.Observer) {
 			h.Observe(mid)
 		}
 	}
+	units := ob.CounterVec("grader_unit_total", "unit", "result")
 	for name, agg := range b.units {
-		ob.Counter("grader_unit_pass:" + name).Add(int64(agg.passed))
-		ob.Counter("grader_unit_fail:" + name).Add(int64(agg.graded - agg.passed))
+		units.With(name, "pass").Add(int64(agg.passed))
+		units.With(name, "fail").Add(int64(agg.graded - agg.passed))
 	}
 }
 

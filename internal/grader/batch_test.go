@@ -50,11 +50,15 @@ func TestBatchAggregation(t *testing.T) {
 	if m.Counters["grader_reports_total"] != 3 {
 		t.Errorf("grader_reports_total = %d", m.Counters["grader_reports_total"])
 	}
-	if m.Counters["grader_unit_pass:unroutable detected"] != 3 {
-		t.Errorf("unit pass counter = %d", m.Counters["grader_unit_pass:unroutable detected"])
+	unit := func(name, result string) int64 {
+		v, _ := m.CounterSeries("grader_unit_total", map[string]string{"unit": name, "result": result})
+		return v
 	}
-	if m.Counters["grader_unit_fail:short wire, one layer"] != 1 {
-		t.Errorf("unit fail counter = %d", m.Counters["grader_unit_fail:short wire, one layer"])
+	if n := unit("unroutable detected", "pass"); n != 3 {
+		t.Errorf("unit pass counter = %d", n)
+	}
+	if n := unit("short wire, one layer", "fail"); n != 1 {
+		t.Errorf("unit fail counter = %d", n)
 	}
 	if h := m.Histograms["grader_score"]; h.Count != 3 {
 		t.Errorf("score histogram count = %d", h.Count)

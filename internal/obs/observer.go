@@ -218,33 +218,3 @@ func (s Snapshot) WriteText(w io.Writer) {
 		}
 	}
 }
-
-// FakeClock is a deterministic clock for tests: every Now() call
-// advances it by a fixed step, so durations and timestamps depend
-// only on the call sequence.
-type FakeClock struct {
-	mu   sync.Mutex
-	t    time.Time
-	step time.Duration
-}
-
-// NewFakeClock starts at start, advancing by step per Now() call.
-func NewFakeClock(start time.Time, step time.Duration) *FakeClock {
-	return &FakeClock{t: start, step: step}
-}
-
-// Now returns the current fake time and advances the clock.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.t
-	c.t = c.t.Add(c.step)
-	return now
-}
-
-// Advance moves the clock forward by d without a tick.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}

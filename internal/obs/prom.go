@@ -16,9 +16,10 @@ import (
 // snapshots of the same state are byte-identical.
 
 // promName sanitizes a metric name to the exposition charset
-// [a-zA-Z_:][a-zA-Z0-9_:]*. The repo's legacy flat names use ':' as a
-// label-ish separator, which Prometheus happens to allow; anything
-// else invalid (e.g. the '-' in "pool_breaker_half-open") maps to '_'.
+// [a-zA-Z_:][a-zA-Z0-9_:]*. ':' passes through because the format
+// allows it (the repo's own names carry dimensions as labels, never
+// in the name); anything else invalid (e.g. a '-' as in
+// "pool_breaker_half-open") maps to '_'.
 func promName(name string) string {
 	if name == "" {
 		return "_"

@@ -8,9 +8,9 @@ import (
 
 // Labeled metric families. A *Vec is a family of series sharing one
 // name and one label-key set; With(values...) resolves (creating on
-// first use) the child metric for one label-value combination. The
-// portal uses these for per-tool/per-shard series instead of the
-// name+":"+tool string-concat convention the flat registry forced.
+// first use) the child metric for one label-value combination. Every
+// per-tool, per-shard, per-stage or per-unit series is a family child;
+// no metric name carries a dimension.
 //
 // Hot-path contract: With on an existing child is lock-free sync.Map
 // reads (no allocation for one-, two-, and three-label families —

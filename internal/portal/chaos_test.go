@@ -224,13 +224,13 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	ob := obs.NewObserver(clk.Now)
 	inj := fault.Script(echoTool{}, fault.Transient)
 	p := portal.NewPool(portal.PoolConfig{
-		Workers: 1,
-		Retry:   portal.RetryPolicy{MaxAttempts: 1},
-		Breaker: portal.BreakerConfig{FailureThreshold: 4, Cooldown: time.Minute},
+		Workers:  1,
+		Retry:    portal.RetryPolicy{MaxAttempts: 1},
+		Breaker:  portal.BreakerConfig{FailureThreshold: 4, Cooldown: time.Minute},
+		Clock:    clk,
+		Observer: ob,
 	})
 	defer p.Close()
-	p.SetObserver(ob)
-	p.SetClock(clk.Now, nil)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
 	}

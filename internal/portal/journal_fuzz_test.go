@@ -11,14 +11,14 @@ import (
 	"vlsicad/internal/obs"
 )
 
-// fuzzCfg is the recovery config the fuzzer replays under: a frozen
-// clock and a never-firing timer, so no watchdog or timeout goroutine
-// outlives an iteration regardless of what deadlines the input claims.
+// fuzzCfg is the recovery config the fuzzer replays under: a virtual
+// clock nobody advances, so a deadline the input claims either has
+// passed at recovery (and expires there) or never fires — no watchdog
+// or timeout outlives an iteration on wall time.
 func fuzzCfg() PoolConfig {
 	return PoolConfig{
 		Workers: 1, QuotaRate: 1, QuotaBurst: 2, HistoryLimit: 3,
-		Clock:    frozenClock(time.Unix(9000, 0).UTC()),
-		After:    func(time.Duration) <-chan time.Time { return make(chan time.Time) },
+		Clock:    obs.NewFakeClock(time.Unix(9000, 0).UTC(), 0),
 		Observer: obs.NewObserver(nil),
 	}
 }

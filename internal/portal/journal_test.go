@@ -35,11 +35,6 @@ func (m *memSyncer) Bytes() []byte {
 	return append([]byte(nil), m.buf.Bytes()...)
 }
 
-// frozenClock returns a clock stuck at t.
-func frozenClock(t time.Time) func() time.Time {
-	return func() time.Time { return t }
-}
-
 // journaledPool builds a pool writing its journal to a fresh memSyncer.
 func journaledPool(cfg PoolConfig, opts JournalOpts) (*Pool, *memSyncer) {
 	ms := &memSyncer{}
@@ -52,7 +47,7 @@ func journaledPool(cfg PoolConfig, opts JournalOpts) (*Pool, *memSyncer) {
 
 func TestJournalRoundTripRecover(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), time.Millisecond)
-	p, ms := journaledPool(PoolConfig{Workers: 2, Clock: clk.Now}, JournalOpts{})
+	p, ms := journaledPool(PoolConfig{Workers: 2, Clock: clk}, JournalOpts{})
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +63,7 @@ func TestJournalRoundTripRecover(t *testing.T) {
 		t.Fatalf("source ledger = %+v", p.Ledger())
 	}
 
-	p2, rep, err := RecoverPool(PoolConfig{Workers: 2, Clock: clk.Now,
+	p2, rep, err := RecoverPool(PoolConfig{Workers: 2, Clock: clk,
 		Observer: obs.NewObserver(nil)}, bytes.NewReader(ms.Bytes()), echoTool())
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +102,7 @@ func TestJournalRoundTripRecover(t *testing.T) {
 // the torn tail account for every byte.
 func TestJournalTornTailSweep(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), time.Millisecond)
-	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk.Now,
+	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk,
 		QuotaRate: 100, QuotaBurst: 100}, JournalOpts{CompactEvery: 5})
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
@@ -143,7 +138,7 @@ func TestJournalTornTailSweep(t *testing.T) {
 
 func TestJournalChecksumCorruption(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), time.Millisecond)
-	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk.Now}, JournalOpts{})
+	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk}, JournalOpts{})
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +168,7 @@ func TestJournalChecksumCorruption(t *testing.T) {
 
 	// RecoverPool still returns the valid-prefix warm pool alongside
 	// the error, and that pool serves.
-	p2, _, err := RecoverPool(PoolConfig{Workers: 1, Clock: clk.Now,
+	p2, _, err := RecoverPool(PoolConfig{Workers: 1, Clock: clk,
 		Observer: obs.NewObserver(nil)}, bytes.NewReader(data), echoTool())
 	if !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("RecoverPool err = %v", err)
@@ -228,7 +223,7 @@ func TestJournalDuplicateAndUnknownRecords(t *testing.T) {
 
 func TestJournalCompaction(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), time.Millisecond)
-	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk.Now, HistoryLimit: 4},
+	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk, HistoryLimit: 4},
 		JournalOpts{CompactEvery: 4})
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
@@ -255,7 +250,7 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatalf("found %d snapshot records, want ≥ 5", snaps)
 	}
 
-	p2, rep, err := RecoverPool(PoolConfig{Workers: 1, Clock: clk.Now, HistoryLimit: 4,
+	p2, rep, err := RecoverPool(PoolConfig{Workers: 1, Clock: clk, HistoryLimit: 4,
 		Observer: obs.NewObserver(nil)}, bytes.NewReader(data), echoTool())
 	if err != nil {
 		t.Fatal(err)

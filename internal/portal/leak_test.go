@@ -1,6 +1,6 @@
 // Goroutine-leak checks for the abandoned-runaway path: a tool that
 // ignores cancellation but eventually finishes must leave zero
-// goroutines behind, in both the legacy Portal and the Pool.
+// goroutines behind.
 package portal_test
 
 import (
@@ -44,10 +44,13 @@ func (rt releaseTool) Run(input string, cancel <-chan struct{}) (string, error) 
 	return "late", nil
 }
 
+// TestPortalAbandonNoLeak: one worker runs ten runaways back to back;
+// each is abandoned after timeout + grace, and once they finally
+// return every runner and drain watcher exits.
 func TestPortalAbandonNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	p := portal.New(5 * time.Millisecond)
-	p.SetObserver(obs.NewObserver(nil))
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Timeout: 5 * time.Millisecond,
+		Observer: obs.NewObserver(nil)})
 	rt := releaseTool{release: make(chan struct{})}
 	if err := p.Register(rt); err != nil {
 		t.Fatal(err)
@@ -62,8 +65,9 @@ func TestPortalAbandonNoLeak(t *testing.T) {
 		}
 	}
 	// Ten abandoned runaways are still parked. Let them finish: every
-	// goroutine (runner + drain watcher) must exit.
+	// goroutine (worker, runner, drain watcher) must exit.
 	close(rt.release)
+	p.Close()
 	waitGoroutines(t, base)
 }
 

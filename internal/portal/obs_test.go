@@ -1,8 +1,8 @@
 package portal
 
 import (
+	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,34 +10,41 @@ import (
 	"vlsicad/internal/obs"
 )
 
-// firedOnce returns a timer source whose first n calls fire
-// immediately and whose later calls never fire — deterministic
-// timeout-path coverage with zero real sleeps.
-func firedOnce(n int) func(time.Duration) <-chan time.Time {
-	var mu sync.Mutex
-	calls := 0
-	return func(time.Duration) <-chan time.Time {
-		mu.Lock()
-		calls++
-		fire := calls <= n
-		mu.Unlock()
-		if fire {
-			ch := make(chan time.Time, 1)
-			ch <- time.Time{}
-			return ch
+// waitPending polls until clk has n armed timers — the "is the attempt
+// in its timeout (or grace) select yet?" probe for tests that move
+// virtual time past a relative timer.
+func waitPending(t *testing.T, clk *obs.FakeClock, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for clk.Pending() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d timers armed, want %d", clk.Pending(), n)
 		}
-		return make(chan time.Time) // never fires
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-// TestCooperativeTimeoutNoSleep drives the timeout + grace path with
-// an injected timer: the timeout fires instantly, the tool
-// acknowledges cancel, and no wall-clock waiting happens.
+// waitTicket bounds a test's Wait so a lost wake-up fails in seconds.
+func waitTicket(t *testing.T, tk *Ticket) JobResult {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := tk.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestCooperativeTimeoutNoSleep drives the timeout + grace path on
+// virtual time: the attempt's timeout fires when the test advances the
+// clock, the tool acknowledges cancel, and no wall-clock waiting
+// happens.
 func TestCooperativeTimeoutNoSleep(t *testing.T) {
-	p := New(time.Hour) // irrelevant: the fake timer fires instantly
-	ob := obs.NewObserver(obs.NewFakeClock(time.Unix(100, 0).UTC(), time.Millisecond).Now)
-	p.SetObserver(ob)
-	p.SetClock(ob.Now, firedOnce(1))
+	clk := obs.NewFakeClock(time.Unix(100, 0).UTC(), 0)
+	ob := obs.NewObserver(clk.Now)
+	p := NewPool(PoolConfig{Workers: 1, Timeout: time.Hour, Clock: clk, Observer: ob})
+	defer p.Close()
 	err := p.Register(toolFunc{
 		name: "coop",
 		desc: "acknowledges cancellation",
@@ -49,10 +56,13 @@ func TestCooperativeTimeoutNoSleep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Submit("u", "coop", "")
+	tk, err := p.SubmitAsync("u", "coop", "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitPending(t, clk, 1)
+	clk.Advance(time.Hour)
+	res := waitTicket(t, tk)
 	if !res.TimedOut {
 		t.Error("job should be marked timed out")
 	}
@@ -62,23 +72,27 @@ func TestCooperativeTimeoutNoSleep(t *testing.T) {
 	if res.Output != "stopped" {
 		t.Errorf("output = %q", res.Output)
 	}
+	if res.Duration != time.Hour {
+		t.Errorf("duration = %v, want the 1h of virtual time", res.Duration)
+	}
 	snap := ob.Snapshot().Metrics
-	if snap.Counters["portal_jobs_timeout"] != 1 {
-		t.Errorf("timeout counter = %d", snap.Counters["portal_jobs_timeout"])
+	if snap.Counters["pool_jobs_timeout"] != 1 {
+		t.Errorf("timeout counter = %d", snap.Counters["pool_jobs_timeout"])
 	}
 	if snap.Counters["portal_jobs_abandoned"] != 0 {
 		t.Errorf("abandoned counter = %d", snap.Counters["portal_jobs_abandoned"])
 	}
 }
 
-// TestAbandonedRunawayCounted covers the satellite fix: a tool that
-// ignores cancellation past the grace period is recorded as
-// Abandoned, counted, and tracked until its goroutine finally exits.
+// TestAbandonedRunawayCounted: a tool that ignores cancellation past
+// the grace period is recorded as Abandoned, counted, and tracked
+// until its goroutine finally exits. Timeout and grace both expire on
+// virtual time.
 func TestAbandonedRunawayCounted(t *testing.T) {
-	p := New(time.Hour)
+	clk := obs.NewFakeClock(time.Unix(100, 0).UTC(), 0)
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
-	p.SetClock(nil, firedOnce(2)) // timeout and grace both fire instantly
+	p := NewPool(PoolConfig{Workers: 1, Timeout: time.Hour, Clock: clk, Observer: ob})
+	defer p.Close()
 	release := make(chan struct{})
 	err := p.Register(toolFunc{
 		name: "runaway",
@@ -91,10 +105,15 @@ func TestAbandonedRunawayCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Submit("u", "runaway", "")
+	tk, err := p.SubmitAsync("u", "runaway", "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitPending(t, clk, 1)
+	clk.Advance(time.Hour) // the timeout
+	waitPending(t, clk, 1)
+	clk.Advance(GracePeriod)
+	res := waitTicket(t, tk)
 	if !res.TimedOut || !res.Abandoned {
 		t.Fatalf("TimedOut=%v Abandoned=%v, want both true", res.TimedOut, res.Abandoned)
 	}
@@ -108,9 +127,14 @@ func TestAbandonedRunawayCounted(t *testing.T) {
 	if g := m.Gauges["portal_abandoned_inflight"]; g != 1 {
 		t.Errorf("abandoned inflight gauge = %g, want 1", g)
 	}
-	events := ob.Snapshot().Events
-	if len(events) != 1 || events[0].Kind != "portal.abandoned" {
-		t.Errorf("events = %v", events)
+	var abandoned int
+	for _, e := range ob.Snapshot().Events {
+		if e.Kind == "portal.abandoned" {
+			abandoned++
+		}
+	}
+	if abandoned != 1 {
+		t.Errorf("portal.abandoned events = %d, want 1", abandoned)
 	}
 
 	// Let the runaway finish; the watcher must drain the gauge.
@@ -130,21 +154,14 @@ func TestAbandonedRunawayCounted(t *testing.T) {
 // TestPortalConcurrent hammers Submit/History/Tools from many
 // goroutines sharing one observer; run with -race.
 func TestPortalConcurrent(t *testing.T) {
-	p := New(time.Second)
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
-	err := p.Register(toolFunc{
-		name: "echo",
-		desc: "returns its input",
-		run: func(input string, cancel <-chan struct{}) (string, error) {
-			return input, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const workers = 12
 	const iters = 50
+	ob := obs.NewObserver(nil)
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: workers, Timeout: time.Second, Observer: ob})
+	defer p.Close()
+	if err := p.Register(echoTool()); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -171,16 +188,16 @@ func TestPortalConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	m := ob.Snapshot().Metrics
-	if m.Counters["portal_jobs_total"] != workers*iters {
-		t.Errorf("jobs total = %d, want %d", m.Counters["portal_jobs_total"], workers*iters)
+	if m.Counters["pool_jobs_total"] != workers*iters {
+		t.Errorf("jobs total = %d, want %d", m.Counters["pool_jobs_total"], workers*iters)
 	}
-	if m.Counters["portal_jobs:echo"] != workers*iters {
-		t.Errorf("per-tool counter = %d", m.Counters["portal_jobs:echo"])
+	if v, _ := m.CounterSeries("pool_tool_jobs_total", map[string]string{"tool": "echo"}); v != workers*iters {
+		t.Errorf("per-tool counter = %d", v)
 	}
-	if m.Gauges["portal_jobs_inflight"] != 0 {
-		t.Errorf("inflight gauge = %g, want 0", m.Gauges["portal_jobs_inflight"])
+	if m.Gauges["pool_jobs_inflight"] != 0 {
+		t.Errorf("inflight gauge = %g, want 0", m.Gauges["pool_jobs_inflight"])
 	}
-	if h := m.Histograms["portal_job_seconds"]; h.Count != workers*iters {
+	if h := m.Histograms["pool_job_seconds"]; h.Count != workers*iters {
 		t.Errorf("histogram count = %d", h.Count)
 	}
 	var total int
@@ -189,19 +206,5 @@ func TestPortalConcurrent(t *testing.T) {
 	}
 	if total != workers*iters {
 		t.Errorf("history total = %d, want %d", total, workers*iters)
-	}
-}
-
-// TestUnknownToolCounted: unknown tools are visible in telemetry.
-func TestUnknownToolCounted(t *testing.T) {
-	p := New(time.Second)
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
-	if _, err := p.Submit("u", "vivado", ""); err == nil ||
-		!strings.Contains(err.Error(), "no tool") {
-		t.Fatalf("err = %v", err)
-	}
-	if c := ob.Snapshot().Metrics.Counters["portal_jobs_unknown_tool"]; c != 1 {
-		t.Errorf("unknown-tool counter = %d", c)
 	}
 }

@@ -8,9 +8,6 @@ package portal
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"vlsicad/internal/obs"
@@ -51,8 +48,7 @@ type JobResult struct {
 	Abandoned bool
 	// Attempts is how many attempts the job took (1 when it succeeded
 	// or failed terminally first try; >1 when the pool retried
-	// transient failures). The legacy Portal always runs one attempt
-	// and leaves it 0 for backward compatibility of recorded history.
+	// transient failures; 0 for a ticket that never ran).
 	Attempts int
 	When     time.Time
 	// Replayed marks a ticket that was mid-flight when the pool
@@ -61,121 +57,9 @@ type JobResult struct {
 	Replayed bool
 }
 
-// GracePeriod is how long Submit waits after cancellation for a tool
+// GracePeriod is how long an attempt waits after cancellation for a tool
 // to acknowledge before abandoning its goroutine.
 const GracePeriod = 50 * time.Millisecond
-
-// Portal hosts a set of tools and per-user result histories.
-type Portal struct {
-	mu      sync.Mutex
-	tools   map[string]Tool
-	history map[string][]JobResult
-	timeout time.Duration
-	clock   func() time.Time
-	// after schedules the timeout and grace timers; injectable so
-	// tests exercise timeout paths without real sleeps.
-	after func(time.Duration) <-chan time.Time
-	obs   *obs.Observer
-}
-
-// New creates a portal with the given runaway-tool timeout, reporting
-// telemetry to the process-wide obs.Default() observer.
-func New(timeout time.Duration) *Portal {
-	return &Portal{
-		tools:   map[string]Tool{},
-		history: map[string][]JobResult{},
-		timeout: timeout,
-		clock:   time.Now,
-		after:   time.After,
-		obs:     obs.Default(),
-	}
-}
-
-// SetObserver redirects the portal's telemetry (nil detaches it).
-func (p *Portal) SetObserver(o *obs.Observer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.obs = o
-}
-
-// SetClock injects the duration clock and the timer source used for
-// timeout enforcement. Either may be nil to keep the current one.
-// Tests pair a fake clock with an immediate-fire timer to cover
-// timeout paths deterministically.
-func (p *Portal) SetClock(now func() time.Time, after func(time.Duration) <-chan time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if now != nil {
-		p.clock = now
-	}
-	if after != nil {
-		p.after = after
-	}
-}
-
-// Register installs a tool; registering a duplicate name is an error.
-func (p *Portal) Register(t Tool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, dup := p.tools[t.Name()]; dup {
-		return fmt.Errorf("portal: tool %q already registered", t.Name())
-	}
-	p.tools[t.Name()] = t
-	return nil
-}
-
-// Tools lists the registered tool names, sorted.
-func (p *Portal) Tools() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for name := range p.tools {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Submit runs a job synchronously (with timeout enforcement) and
-// appends the result to the user's history. Every job emits a span
-// plus per-tool counters and a duration histogram.
-func (p *Portal) Submit(user, tool, input string) (JobResult, error) {
-	p.mu.Lock()
-	t, ok := p.tools[tool]
-	clock, after, ob := p.clock, p.after, p.obs
-	p.mu.Unlock()
-	if !ok {
-		ob.Counter("portal_jobs_unknown_tool").Inc()
-		return JobResult{}, fmt.Errorf("portal: no tool %q", tool)
-	}
-	sp := ob.StartSpan("portal.submit")
-	sp.SetLabel("tool", tool)
-	sp.SetLabel("user", user)
-	ob.Gauge("portal_jobs_inflight").Add(1)
-	start := clock()
-	res, _ := execTool(t, tool, user, input, p.timeout, after, nil, nil, ob)
-	res.Input = input
-	res.When = start
-	res.Duration = clock().Sub(start)
-	p.mu.Lock()
-	p.history[user] = append(p.history[user], res)
-	p.mu.Unlock()
-
-	ob.Gauge("portal_jobs_inflight").Add(-1)
-	ob.Counter("portal_jobs_total").Inc()
-	ob.Counter("portal_jobs:" + tool).Inc()
-	if res.TimedOut {
-		ob.Counter("portal_jobs_timeout").Inc()
-	}
-	if res.Err != "" {
-		ob.Counter("portal_jobs_error").Inc()
-	}
-	ob.Histogram("portal_job_seconds").ObserveDuration(res.Duration)
-	ob.Histogram("portal_job_seconds:" + tool).ObserveDuration(res.Duration)
-	sp.SetLabel("timed_out", strconv.FormatBool(res.TimedOut))
-	sp.End()
-	return res, nil
-}
 
 // runOutcome is one tool attempt's raw return.
 type runOutcome struct {
@@ -183,14 +67,8 @@ type runOutcome struct {
 	err error
 }
 
-// quitReasoner reports why an attempt's quit channel was closed;
-// *Ticket implements it.
-type quitReasoner interface {
-	quitReason() error
-}
-
-// execTool runs a single attempt of t.Run with the portal's three
-// layers of isolation, shared by Portal.Submit and the Pool workers:
+// execTool runs a single attempt of the ticket's Tool.Run with the
+// portal's three layers of isolation:
 //
 //  1. panic recovery — a crashing Run becomes a failed result
 //     wrapping ErrToolPanic (portal_panics_recovered counter);
@@ -203,45 +81,39 @@ type quitReasoner interface {
 //     eventually-finishing runaway never leaks its goroutine or its
 //     buffered outcome.
 //
-// quit, when non-nil, is a second interrupt source beside the timeout
-// timer: the pool closes it when a ticket's deadline expires or it is
-// cancelled mid-run. An interrupted attempt goes through the same
-// cancel + grace + abandon machinery as a timeout, but is not marked
-// TimedOut — its raw error comes from qr.quitReason() (ErrDeadline or
-// ErrCancelled), so callers can tell the three interrupts apart. The
-// legacy Portal passes nil for both. (qr is an interface rather than
-// a func value so the pool can pass its *Ticket without a per-call
-// closure allocation on the hot path.)
+// The ticket's quit channel is a second interrupt source beside the
+// timeout timer: the pool closes it when the deadline expires or the
+// ticket is cancelled mid-run. An interrupted attempt goes through the
+// same cancel + grace + abandon machinery as a timeout, but is not
+// marked TimedOut — its raw error is tk.quitReason() (ErrDeadline or
+// ErrCancelled), so callers can tell the three interrupts apart.
 //
 // The returned error is the tool's raw error (nil on success), kept
 // alongside the stringified JobResult.Err so callers can classify it
 // (IsTransient, ErrToolPanic) without string matching.
-func execTool(t Tool, tool, user, input string, timeout time.Duration,
-	after func(time.Duration) <-chan time.Time,
-	quit <-chan struct{}, qr quitReasoner, ob *obs.Observer) (JobResult, error) {
+func execTool(tk *Ticket, timeout time.Duration, clock obs.Clock, ob *obs.Observer) (JobResult, error) {
 	cancel := make(chan struct{})
 	done := make(chan runOutcome, 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				ob.Counter("portal_panics_recovered").Inc()
-				ob.Counter("portal_panics_recovered:" + tool).Inc()
 				done <- runOutcome{err: fmt.Errorf("%w: %v", ErrToolPanic, r)}
 			}
 		}()
-		out, err := t.Run(input, cancel)
+		out, err := tk.t.Run(tk.input, cancel)
 		done <- runOutcome{out, err}
 	}()
-	res := JobResult{Tool: tool}
+	res := JobResult{Tool: tk.tool}
 	var rawErr error
 	interrupted := false
 	select {
 	case o := <-done:
 		res.Output = o.out
 		rawErr = o.err
-	case <-quit:
+	case <-tk.quit:
 		interrupted = true
-	case <-after(timeout):
+	case <-clock.After(timeout):
 		res.TimedOut = true
 	}
 	if interrupted || res.TimedOut {
@@ -251,7 +123,7 @@ func execTool(t Tool, tool, user, input string, timeout time.Duration,
 		case o := <-done:
 			res.Output = o.out
 			rawErr = o.err
-		case <-after(GracePeriod):
+		case <-clock.After(GracePeriod):
 			// The tool ignored cancellation: its goroutine keeps
 			// running detached. Make the runaway visible instead of
 			// silently dropping it, and drain its outcome when it
@@ -259,7 +131,7 @@ func execTool(t Tool, tool, user, input string, timeout time.Duration,
 			res.Abandoned = true
 			ob.Counter("portal_jobs_abandoned").Inc()
 			ob.Gauge("portal_abandoned_inflight").Add(1)
-			ob.Emit("portal.abandoned", map[string]string{"tool": tool, "user": user})
+			ob.Emit("portal.abandoned", map[string]string{"tool": tk.tool, "user": tk.user})
 			go func() {
 				<-done
 				ob.Gauge("portal_abandoned_inflight").Add(-1)
@@ -269,9 +141,9 @@ func execTool(t Tool, tool, user, input string, timeout time.Duration,
 		// The interrupt reason dominates whatever the grace period
 		// produced: a past-deadline or cancelled job is terminated even
 		// if output arrived a hair late, so outcomes are deterministic
-		// under injected timers.
+		// on a virtual clock.
 		if interrupted {
-			rawErr = qr.quitReason()
+			rawErr = tk.quitReason()
 		} else if rawErr == nil {
 			rawErr = errors.New("terminated: exceeded portal time limit")
 		}
@@ -280,22 +152,6 @@ func execTool(t Tool, tool, user, input string, timeout time.Duration,
 		res.Err = rawErr.Error()
 	}
 	return res, rawErr
-}
-
-// History returns the user's past results, newest first — the
-// "scroll for older outputs" page of the paper's portal.
-func (p *Portal) History(user string) []JobResult {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return reverseHistory(p.history[user], len(p.history[user]))
-}
-
-// HistoryN returns the user's n most recent results, newest first —
-// one page of the history view, without copying the whole record.
-func (p *Portal) HistoryN(user string, n int) []JobResult {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return reverseHistory(p.history[user], n)
 }
 
 // reverseHistory copies the newest min(n, len(h)) entries of h in

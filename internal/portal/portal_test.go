@@ -6,9 +6,12 @@ import (
 	"time"
 )
 
-func newCoursePortal(t *testing.T) *Portal {
+// newCoursePortal is the paper's Figure 4 portal: the five course
+// tools on a one-worker pool.
+func newCoursePortal(t *testing.T) *Pool {
 	t.Helper()
-	p := New(2 * time.Second)
+	p := NewPool(PoolConfig{Workers: 1, Timeout: 2 * time.Second})
+	t.Cleanup(p.Close)
 	if err := CourseTools(p); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +267,8 @@ func TestAxbTool(t *testing.T) {
 }
 
 func TestRunawayTermination(t *testing.T) {
-	p := New(30 * time.Millisecond)
+	p := NewPool(PoolConfig{Workers: 1, Timeout: 30 * time.Millisecond})
+	defer p.Close()
 	err := p.Register(toolFunc{
 		name: "spin",
 		desc: "runs forever unless cancelled",

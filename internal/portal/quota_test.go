@@ -95,10 +95,10 @@ func TestPoolQuotaShedsEndToEnd(t *testing.T) {
 			}
 			return "default"
 		},
+		Clock:    clk,
+		Observer: ob,
 	})
 	defer p.Close()
-	p.SetObserver(ob)
-	p.SetClock(clk.Now, nil)
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@ import (
 // survival property with 17,000 strangers typing at it.
 
 func TestToolsSurviveGarbage(t *testing.T) {
-	p := New(time.Second)
+	p := NewPool(PoolConfig{Workers: 1, Timeout: time.Second})
+	defer p.Close()
 	if err := CourseTools(p); err != nil {
 		t.Fatal(err)
 	}

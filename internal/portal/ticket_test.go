@@ -1,8 +1,9 @@
 // Ticket-lifecycle edge cases: Wait after completion and double-Wait,
 // cancel while queued and while running, deadlines expiring in all
-// three places (queued, running, draining) deterministically under
-// fake timers, deadlines shorter than a retry backoff, Close racing
-// SubmitAsync — goroutine-leak-checked where runaways are involved.
+// three places (queued, running, draining) deterministically on the
+// virtual obs.FakeClock, deadlines shorter than a retry backoff, Close
+// racing SubmitAsync — goroutine-leak-checked where runaways are
+// involved.
 // External package so the tests compose internal/fault's Stall class
 // (cooperative hang-past-deadline) with the public API only.
 package portal_test
@@ -20,46 +21,6 @@ import (
 	"vlsicad/internal/portal"
 )
 
-// timerHub is a deterministic timer source: after(d) parks a channel
-// under key d and fire(d) releases every parked waiter for that
-// duration. Tests pick distinct durations for the deadline, timeout,
-// and backoff timers, then fire exactly the one they mean — no real
-// sleeps, no racing wall clocks.
-type timerHub struct {
-	mu      sync.Mutex
-	waiting map[time.Duration][]chan time.Time
-}
-
-func newTimerHub() *timerHub {
-	return &timerHub{waiting: map[time.Duration][]chan time.Time{}}
-}
-
-func (h *timerHub) after(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	h.mu.Lock()
-	h.waiting[d] = append(h.waiting[d], ch)
-	h.mu.Unlock()
-	return ch
-}
-
-func (h *timerHub) fire(d time.Duration) {
-	h.mu.Lock()
-	chs := h.waiting[d]
-	h.waiting[d] = nil
-	h.mu.Unlock()
-	for _, ch := range chs {
-		ch <- time.Time{}
-	}
-}
-
-// count reports how many timers are parked on duration d — the "is
-// the code in its backoff/budget select yet?" probe.
-func (h *timerHub) count(d time.Duration) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.waiting[d])
-}
-
 // waitTicketState polls until the ticket reaches the wanted state.
 func waitTicketState(t *testing.T, tk *portal.Ticket, want portal.TicketState) {
 	t.Helper()
@@ -72,16 +33,12 @@ func waitTicketState(t *testing.T, tk *portal.Ticket, want portal.TicketState) {
 	}
 }
 
-// waitHubTimer polls until n timers are parked on duration d.
-func waitHubTimer(t *testing.T, hub *timerHub, d time.Duration, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for hub.count(d) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timer for %v never registered", d)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+// waitCtx bounds a test's Wait so a lost wake-up fails in seconds,
+// not at the test-binary timeout.
+func waitCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }
 
 func TestTicketWaitAfterCompletionAndDoubleWait(t *testing.T) {
@@ -232,10 +189,7 @@ func TestTicketCancelWhileRunning(t *testing.T) {
 func TestTicketDeadlineExpiresQueued(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(8000, 0).UTC(), 0)
 	ob := obs.NewObserver(clk.Now)
-	hub := newTimerHub()
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
-	p.SetClock(clk.Now, hub.after)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Clock: clk, Observer: ob})
 	rt := releaseTool{release: make(chan struct{})}
 	if err := p.Register(rt); err != nil {
 		t.Fatal(err)
@@ -248,16 +202,16 @@ func TestTicketDeadlineExpiresQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTicketState(t, blocker, portal.TicketRunning)
-	// Deadline 50ms; the watchdog timer never fires (hub stays quiet)
-	// — expiry must still happen, deterministically, from the pop-time
-	// clock check.
+	// Deadline 50ms, then 100ms of virtual time pass while b waits
+	// behind the blocker: the watchdog (or, if the blocker finishes
+	// first, the pop-time check) expires it without running it.
 	tk, err := p.SubmitAsyncOpts("b", "echo", "y", portal.TicketOpts{Deadline: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(100 * time.Millisecond)
-	close(rt.release) // worker finishes the blocker, then pops b past its deadline
-	res, werr := tk.Wait(nil)
+	close(rt.release)
+	res, werr := tk.Wait(waitCtx(t))
 	if !errors.Is(werr, portal.ErrDeadline) {
 		t.Fatalf("Wait err = %v, want ErrDeadline", werr)
 	}
@@ -280,11 +234,9 @@ func TestTicketDeadlineExpiresQueued(t *testing.T) {
 func TestTicketDeadlineExpiresRunning(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ob := obs.NewObserver(nil)
-	hub := newTimerHub()
+	clk := obs.NewFakeClock(time.Unix(8000, 0).UTC(), 0)
 	const deadline = 75 * time.Millisecond
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
-	p.SetClock(nil, hub.after)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Clock: clk, Observer: ob})
 	inj := fault.Script(echoTool{}, fault.Stall)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
@@ -294,13 +246,8 @@ func TestTicketDeadlineExpiresRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTicketState(t, tk, portal.TicketRunning)
-	// The deadline watcher registers its timer from its own goroutine;
-	// a fire before that registration would be lost.
-	waitHubTimer(t, hub, deadline, 1)
-	hub.fire(deadline) // the watchdog catches a mid-run expiry
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res, werr := tk.Wait(ctx)
+	clk.Advance(deadline) // the watchdog catches a mid-run expiry
+	res, werr := tk.Wait(waitCtx(t))
 	if !errors.Is(werr, portal.ErrDeadline) {
 		t.Fatalf("Wait err = %v, want ErrDeadline", werr)
 	}
@@ -323,17 +270,56 @@ func TestTicketDeadlineExpiresRunning(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestTicketDeadlineAdvancedBeforeWatcherArms is the lost-fire
+// regression: virtual time passes the deadline straight after
+// SubmitAsync, before the watchdog goroutine has necessarily been
+// scheduled. The one worker is held by a blocker, so the pop-time
+// check cannot step in — only the watchdog can expire the queued
+// ticket, and it must, because its timer is armed for the absolute
+// deadline before SubmitAsync returns.
+func TestTicketDeadlineAdvancedBeforeWatcherArms(t *testing.T) {
+	ob := obs.NewObserver(nil)
+	clk := obs.NewFakeClock(time.Unix(8000, 0).UTC(), 0)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Timeout: time.Hour, Clock: clk, Observer: ob})
+	inj := fault.Script(echoTool{}, fault.Stall)
+	if err := p.Register(inj); err != nil {
+		t.Fatal(err)
+	}
+	blocker, err := p.SubmitAsync("a", "echo", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTicketState(t, blocker, portal.TicketRunning)
+	tk, err := p.SubmitAsyncOpts("b", "echo", "y", portal.TicketOpts{Deadline: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	if _, err := tk.Wait(waitCtx(t)); !errors.Is(err, portal.ErrDeadline) {
+		t.Fatalf("Wait err = %v, want ErrDeadline", err)
+	}
+	if st := blocker.State(); st != portal.TicketRunning {
+		t.Fatalf("blocker = %v, want still running", st)
+	}
+	m := ob.Snapshot().Metrics
+	if got, _ := m.CounterSeries("pool_deadline_expiries_total", map[string]string{"where": "queued"}); got != 1 {
+		t.Fatalf("queued expiries = %d, want 1", got)
+	}
+	blocker.Cancel()
+	p.Close()
+}
+
 func TestTicketDeadlineShorterThanRetryBackoff(t *testing.T) {
 	ob := obs.NewObserver(nil)
-	hub := newTimerHub()
+	clk := obs.NewFakeClock(time.Unix(8000, 0).UTC(), 0)
 	const deadline = 75 * time.Millisecond
 	const backoff = time.Hour
 	p := portal.NewPool(portal.PoolConfig{
-		Workers: 1,
-		Retry:   portal.RetryPolicy{MaxAttempts: 5, BaseDelay: backoff},
+		Workers:  1,
+		Retry:    portal.RetryPolicy{MaxAttempts: 5, BaseDelay: backoff},
+		Clock:    clk,
+		Observer: ob,
 	})
-	p.SetObserver(ob)
-	p.SetClock(nil, hub.after)
 	inj := fault.Script(echoTool{}, fault.Transient)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
@@ -342,15 +328,17 @@ func TestTicketDeadlineShorterThanRetryBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Attempt 1 fails transiently; the worker parks in its backoff
-	// sleep (1h — far past the 75ms deadline). Expiry must cut the
-	// backoff short instead of letting the ticket sleep through it.
-	waitHubTimer(t, hub, backoff, 1)
-	waitHubTimer(t, hub, deadline, 1)
-	hub.fire(deadline)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res, werr := tk.Wait(ctx)
+	// Attempt 1 fails transiently and the worker heads into its
+	// backoff sleep (1h — far past the 75ms deadline). Expiry must cut
+	// the backoff short instead of letting the ticket sleep through it.
+	for wait := time.Now().Add(10 * time.Second); ob.Snapshot().Metrics.Counters["pool_retries"] != 1; {
+		if time.Now().After(wait) {
+			t.Fatal("attempt 1 never failed into a retry")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	clk.Advance(deadline)
+	res, werr := tk.Wait(waitCtx(t))
 	if !errors.Is(werr, portal.ErrDeadline) {
 		t.Fatalf("Wait err = %v, want ErrDeadline", werr)
 	}
@@ -428,11 +416,9 @@ func TestCloseDrainsQueuedTickets(t *testing.T) {
 func TestCloseWithTimeoutForceDrain(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ob := obs.NewObserver(nil)
-	hub := newTimerHub()
+	clk := obs.NewFakeClock(time.Unix(8000, 0).UTC(), 0)
 	const budget = 30 * time.Second
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
-	p.SetClock(nil, hub.after)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Timeout: time.Hour, Clock: clk, Observer: ob})
 	inj := fault.Script(echoTool{}, fault.Stall)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
@@ -452,16 +438,22 @@ func TestCloseWithTimeoutForceDrain(t *testing.T) {
 	}
 	done := make(chan bool, 1)
 	go func() { done <- p.CloseWithTimeout(budget) }()
-	// The drain budget timer parks; firing it forces the drain.
-	waitHubTimer(t, hub, budget, 1)
-	hub.fire(budget)
+	// The budget is relative to the Close call, so wait until its timer
+	// is armed beside the running attempt's timeout, then spend it.
+	for wait := time.Now().Add(10 * time.Second); clk.Pending() < 2; {
+		if time.Now().After(wait) {
+			t.Fatalf("%d timers armed, want the attempt timeout and the drain budget", clk.Pending())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	clk.Advance(budget)
 	if graceful := <-done; graceful {
 		t.Fatal("CloseWithTimeout reported a graceful drain despite the stalled worker")
 	}
 	// Queued tickets expired without running; the running one was
 	// interrupted. Every admitted ticket is terminal — none lost.
 	for _, tk := range append(queued, running) {
-		if _, err := tk.Wait(nil); !errors.Is(err, portal.ErrDeadline) {
+		if _, err := tk.Wait(waitCtx(t)); !errors.Is(err, portal.ErrDeadline) {
 			t.Fatalf("force-drained ticket err = %v, want ErrDeadline", err)
 		}
 	}

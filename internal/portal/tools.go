@@ -220,15 +220,8 @@ func AxbTool() Tool {
 	}
 }
 
-// Registrar is anything that hosts tools: the legacy Portal or the
-// resilient Pool.
-type Registrar interface {
-	Register(Tool) error
-}
-
-// CourseTools registers the paper's five tool portals on a portal or
-// pool.
-func CourseTools(p Registrar) error {
+// CourseTools registers the paper's five tool portals on a pool.
+func CourseTools(p *Pool) error {
 	for _, t := range []Tool{KBDDTool(), EspressoTool(), MiniSATTool(), SISTool(), AxbTool()} {
 		if err := p.Register(t); err != nil {
 			return err
