@@ -10,7 +10,7 @@ import (
 
 func TestBreakerStateMachine(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(1000, 0).UTC(), 0)
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second, ProbeSuccesses: 2}, clk.Now)
+	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second, ProbeSuccesses: 2}, clk)
 
 	if b.State() != BreakerClosed {
 		t.Fatalf("initial state = %v", b.State())
@@ -80,7 +80,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 func TestBreakerReleaseReturnsProbeSlot(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(1000, 0).UTC(), 0)
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second}, clk.Now)
+	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second}, clk)
 	b.Allow()
 	b.Record(false)
 	clk.Advance(time.Second)
@@ -122,7 +122,7 @@ func TestBreakerDisabledAndStaleRecord(t *testing.T) {
 	// Stale Record while open (job admitted pre-trip, finished
 	// post-trip) must not disturb the open state or cooldown.
 	clk := obs.NewFakeClock(time.Unix(1000, 0).UTC(), 0)
-	b2 := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute}, clk.Now)
+	b2 := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute}, clk)
 	b2.Allow()
 	b2.Allow() // two admitted while closed
 	b2.Record(false)
